@@ -169,8 +169,10 @@ func (c *resultCache) get(key string) (body []byte, groups int, ok bool) {
 
 // put inserts a result body, evicting least-recently-used entries to stay
 // under the byte bound. Bodies larger than the whole cache are not stored.
+// An entry is charged its buffer's capacity, not its length: encodeBody
+// sizes the buffer from an upper bound on non-integral floats.
 func (c *resultCache) put(key string, body []byte, groups int) {
-	if c == nil || int64(len(body)) > c.maxBytes {
+	if c == nil || int64(cap(body)) > c.maxBytes {
 		return
 	}
 	h := fnv1a(key)
@@ -178,14 +180,14 @@ func (c *resultCache) put(key string, body []byte, groups int) {
 	if old, ok := c.entries[h]; ok {
 		// Same hash: refresh (same key) or replace (collision — rare
 		// enough that keeping the newcomer is fine).
-		c.bytes -= int64(len(old.body))
+		c.bytes -= int64(cap(old.body))
 		c.order.Remove(old.elem)
 		delete(c.entries, h)
 	}
 	e := &cacheEntry{key: key, body: body, groups: groups}
 	e.elem = c.order.PushFront(e)
 	c.entries[h] = e
-	c.bytes += int64(len(body))
+	c.bytes += int64(cap(body))
 	for c.bytes > c.maxBytes {
 		back := c.order.Back()
 		if back == nil {
@@ -194,7 +196,7 @@ func (c *resultCache) put(key string, body []byte, groups int) {
 		ev := back.Value.(*cacheEntry)
 		c.order.Remove(back)
 		delete(c.entries, fnv1a(ev.key))
-		c.bytes -= int64(len(ev.body))
+		c.bytes -= int64(cap(ev.body))
 	}
 	if c.metrics != nil {
 		c.metrics.CacheEntries.Store(int64(len(c.entries)))

@@ -471,50 +471,33 @@ func (s *Server) ingestFinish(ctx context.Context, w http.ResponseWriter, req *i
 
 // respondStream writes a snapshot as the JSONL result stream: header,
 // one line per group, done trailer — the same shape as /v1/aggregate
-// responses, so the load harness validates both with one parser.
+// responses, so the load harness validates both with one parser. The body
+// is rendered before the header is written, so a failure is an error
+// response, never a truncated 200.
 func (s *Server) respondStream(w http.ResponseWriter, sess *ingestSession, res *cacheagg.StreamResult) error {
-	// Decode before committing the response: a dictionary gap is an error
-	// response, not a truncated stream.
-	var skeys []string
+	var keys []cacheagg.KeyColumn
 	if sess.dict != nil {
-		var err error
-		skeys, err = sess.dict.decode(res.Groups)
+		skeys, err := sess.dict.decode(res.Groups)
 		if err != nil {
 			return errf(ErrInternal, err, "decode group keys: %v", err)
 		}
+		keys = []cacheagg.KeyColumn{{Strings: skeys}}
+	}
+	var floats floatSource
+	if sess.hasAvg {
+		floats = res
+	}
+	body, err := encodeBody(res.Groups, keys, res.Aggs, floats)
+	if err != nil {
+		s.metrics.InternalErrors.Add(1)
+		return errf(ErrInternal, err, "marshaling result: %v", err)
 	}
 	w.Header().Set("Content-Type", "application/jsonl")
 	hdr, _ := json.Marshal(map[string]any{
 		"groups": res.Len(), "epochs": res.Epochs, "session": sess.name,
 	})
 	w.Write(append(hdr, '\n'))
-	row := struct {
-		G uint64    `json:"g"`
-		K []any     `json:"k,omitempty"`
-		A []int64   `json:"a,omitempty"`
-		F []float64 `json:"f,omitempty"`
-	}{}
-	enc := json.NewEncoder(w)
-	for i := 0; i < res.Len(); i++ {
-		row.G = res.Groups[i]
-		if skeys != nil {
-			row.K = append(row.K[:0], skeys[i])
-		}
-		row.A = row.A[:0]
-		for _, col := range res.Aggs {
-			row.A = append(row.A, col[i])
-		}
-		if sess.hasAvg {
-			row.F = row.F[:0]
-			for a := range res.Aggs {
-				row.F = append(row.F, res.Float(a, i))
-			}
-		}
-		if err := enc.Encode(&row); err != nil {
-			return nil // client went away mid-stream; nothing to map
-		}
-	}
-	fmt.Fprintf(w, "{\"done\":true,\"rows\":%d}\n", res.Len())
+	w.Write(body)
 	return nil
 }
 

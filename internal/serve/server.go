@@ -496,47 +496,11 @@ func marshalBody(res *cacheagg.Result, withFloats bool, ds *Dataset) ([]byte, er
 			return nil, err
 		}
 	}
-	var b strings.Builder
-	b.Grow(res.Len() * 32)
-	row := struct {
-		G uint64    `json:"g"`
-		K []any     `json:"k,omitempty"`
-		A []int64   `json:"a,omitempty"`
-		F []float64 `json:"f,omitempty"`
-	}{}
-	enc := json.NewEncoder(&b)
-	for i := 0; i < res.Len(); i++ {
-		row.G = res.Groups[i]
-		if gcols != nil {
-			row.K = row.K[:0]
-			for ci := range gcols {
-				c := &gcols[ci]
-				switch {
-				case c.IsNull(i):
-					row.K = append(row.K, nil)
-				case c.Uint64s != nil:
-					row.K = append(row.K, c.Uint64s[i])
-				default:
-					row.K = append(row.K, c.Strings[i])
-				}
-			}
-		}
-		row.A = row.A[:0]
-		for _, col := range res.Aggs {
-			row.A = append(row.A, col[i])
-		}
-		if withFloats {
-			row.F = row.F[:0]
-			for a := range res.Aggs {
-				row.F = append(row.F, res.Float(a, i))
-			}
-		}
-		if err := enc.Encode(&row); err != nil {
-			return nil, err
-		}
+	var floats floatSource
+	if withFloats {
+		floats = res
 	}
-	fmt.Fprintf(&b, "{\"done\":true,\"rows\":%d}\n", res.Len())
-	return []byte(b.String()), nil
+	return encodeBody(res.Groups, gcols, res.Aggs, floats)
 }
 
 // responseMeta parameterizes the header line of a successful response.
